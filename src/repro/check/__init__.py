@@ -32,6 +32,7 @@ from repro.check.invariants import (
     Violation,
     check_archive_writer,
     check_checkpoint,
+    check_cohort_shape,
     check_digest_composition,
     check_file,
     check_shard_conservation,
@@ -54,6 +55,7 @@ __all__ = [
     "Violation",
     "check_archive_writer",
     "check_checkpoint",
+    "check_cohort_shape",
     "check_digest_composition",
     "check_file",
     "check_instance",

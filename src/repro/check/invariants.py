@@ -21,6 +21,8 @@ from repro.mem.layout import PAGE_SIZE
 from repro.mem.physical import MappedFile, PhysicalMemory
 from repro.mem.runlist import RunList
 from repro.mem.vmm import Mapping, PageState, VirtualAddressSpace
+from repro.runtime.object_model import CohortObject
+from repro.runtime.v8.chunks import ChunkedSpace
 
 
 class Violation(AssertionError):
@@ -387,6 +389,43 @@ def check_runtime(runtime, subject: Optional[str] = None) -> None:
         )
     if runtime.total_gc_seconds < 0:
         _violate("gc-seconds", subject, f"negative GC time {runtime.total_gc_seconds}")
+    check_cohort_shape(runtime, subject)
+
+
+def check_cohort_shape(runtime, subject: Optional[str] = None) -> None:
+    """Every cohort is ``count`` whole members, and a chunk holds whole runs.
+
+    A cohort stands for ``count`` objects of ``unit`` bytes, so its size
+    is exactly ``count * unit``; a split that moved members without
+    moving bytes (or the reverse) breaks that.  Chunked allocators place
+    each member inside one chunk payload, so a cohort resident in a
+    chunk must end inside that chunk's payload too.
+    """
+    subject = subject or f"runtime {runtime.name}"
+    for oid, obj in runtime.graph.objects.items():
+        if type(obj) is CohortObject and (
+            obj.count <= 0 or obj.unit <= 0 or obj.size != obj.count * obj.unit
+        ):
+            _violate(
+                "cohort-shape",
+                subject,
+                f"cohort {oid}: size {obj.size} != {obj.count} x {obj.unit}",
+            )
+    objects = runtime.graph.objects
+    for held in vars(runtime).values():
+        if not isinstance(held, ChunkedSpace):
+            continue
+        for index, chunk in enumerate(held.chunks):
+            for oid, offset in chunk.objects:
+                obj = objects.get(oid)
+                if type(obj) is CohortObject and offset + obj.size > chunk.payload:
+                    _violate(
+                        "cohort-shape",
+                        subject,
+                        f"cohort {oid} at {held.name} chunk {index} offset "
+                        f"{offset} overruns the {chunk.payload}-byte payload "
+                        f"by {offset + obj.size - chunk.payload}",
+                    )
 
 
 # ---------------------------------------------------------------- instances

@@ -48,6 +48,9 @@ DEFAULT_MMAP_BASE = 0x7F00_0000_0000
 
 _mapping_ids = itertools.count(1)
 
+_READ = Protection.READ.value
+_WRITE = Protection.WRITE.value
+
 
 class MemoryError_(Exception):
     """Base class for address-space errors (named to avoid the builtin)."""
@@ -437,11 +440,20 @@ class VirtualAddressSpace:
 
     # --------------------------------------------------------------- touches
 
-    def touch(self, addr: int, length: int, write: bool = True) -> FaultCounts:
+    def touch(
+        self,
+        addr: int,
+        length: int,
+        write: bool = True,
+        faulted: Optional[List[Tuple[int, int, bool]]] = None,
+    ) -> FaultCounts:
         """Access ``[addr, addr+length)``, faulting pages in as needed.
 
         Returns the faults incurred; raises :class:`SegmentationFault` for
-        unmapped or protection-violating accesses.
+        unmapped or protection-violating accesses.  A ``faulted`` list
+        receives where they were taken: ``(first_page, end_page, major)``
+        runs of absolute page numbers (``address >> PAGE_SHIFT``), in
+        address order.
         """
         self._check_open()
         counts = FaultCounts()
@@ -450,21 +462,22 @@ class VirtualAddressSpace:
         if recording:
             self._touch_buf = []
             self._touch_file = False
+        # Plain int mask: ``enum.Flag.__and__`` costs ~20x an int ``&``.
+        needed = _WRITE if write else _READ
         pos = start
         while pos < end:
             mapping = self.find_mapping(pos)
             if mapping is None:
                 raise SegmentationFault(f"{self.name}: access at {pos:#x} unmapped")
-            needed = Protection.WRITE if write else Protection.READ
-            if not mapping.prot & needed:
+            if not mapping.prot._value_ & needed:
                 raise SegmentationFault(
-                    f"{self.name}: {needed!r} access at {pos:#x} "
+                    f"{self.name}: {Protection(needed)!r} access at {pos:#x} "
                     f"on {mapping.prot!r} mapping"
                 )
             span_end = min(end, mapping.end)
             first = (pos - mapping.start) >> PAGE_SHIFT
             last = (span_end - mapping.start + PAGE_SIZE - 1) >> PAGE_SHIFT
-            counts += self._touch_range(mapping, first, last, write)
+            counts += self._touch_range(mapping, first, last, write, faulted)
             pos = span_end
         self.faults += counts
         if self._memo_sig is not None and counts.total:
@@ -496,7 +509,12 @@ class VirtualAddressSpace:
         return counts
 
     def _touch_range(
-        self, mapping: Mapping, first: int, last: int, write: bool
+        self,
+        mapping: Mapping,
+        first: int,
+        last: int,
+        write: bool,
+        faulted: Optional[List[Tuple[int, int, bool]]] = None,
     ) -> FaultCounts:
         """Fault pages ``[first, last)`` of one mapping in, run by run."""
         counts = FaultCounts()
@@ -508,6 +526,7 @@ class VirtualAddressSpace:
         if recording:
             anon_before = mapping.n_anon
             swapped_before = mapping.n_swapped
+        base = mapping.start >> PAGE_SHIFT
         for s, e, state in mapping._runs.iter_segments(
             first, last, PageState.NOT_PRESENT
         ):
@@ -517,6 +536,8 @@ class VirtualAddressSpace:
             elif state is PageState.NOT_PRESENT:
                 counts.minor += n
                 changed += n
+                if faulted is not None:
+                    faulted.append((base + s, base + e, False))
                 if mapping.file is not None and not cow:
                     # Read of file pages, or write to MAP_SHARED file pages:
                     # serve from / install into the page cache.
@@ -539,6 +560,8 @@ class VirtualAddressSpace:
                     # Copy-on-write: private file pages become anon frames.
                     counts.minor += n
                     changed += n
+                    if faulted is not None:
+                        faulted.append((base + s, base + e, False))
                     if recording:
                         self._touch_file = True
                     freed = mapping.file.untouch_range(
@@ -555,6 +578,8 @@ class VirtualAddressSpace:
             else:  # SWAPPED
                 counts.major += n
                 changed += n
+                if faulted is not None:
+                    faulted.append((base + s, base + e, True))
                 phys.swap.swap_in(n)
                 phys.alloc_anon(n)
                 pieces.append((s, e, PageState.ANON_DIRTY))

@@ -26,13 +26,14 @@ from repro.mem.accounting import measure, measure_mapping
 from repro.mem.layout import (
     MIB,
     PAGE_SHIFT,
+    PAGE_SIZE,
     PROT_RX,
     Protection,
     page_ceil,
     page_floor,
 )
 from repro.mem.physical import MappedFile, PhysicalMemory
-from repro.mem.vmm import Mapping, PageState, VirtualAddressSpace
+from repro.mem.vmm import Mapping, VirtualAddressSpace
 from repro.memo import digest as memo_digest
 from repro.memo import effects as memo_effects
 from repro.memo import toggle as memo_toggle
@@ -353,46 +354,74 @@ class ManagedRuntime(abc.ABC):
         else:
             place()
 
-    def _touch_cohort_segment(
-        self, mapping: Mapping, addr: int, unit: int, members: int
-    ) -> None:
+    def _touch_run(
+        self, addr: int, unit: int, members: int, touch_from: int
+    ) -> Tuple[int, int]:
         """One bulk touch for a contiguous run, charged per member.
+
+        ``touch_from`` is the page-aligned address where the scalar flow's
+        first touch of the run starts: ``page_floor(addr)`` for allocators
+        that touch each object's own span, or a bump space's ``touched``
+        high-water mark, below which its per-object materialization never
+        touches (those pages may since have been swapped out).  The touch
+        covers ``[touch_from, page_ceil(addr + members * unit))``.
 
         Fault *costs* accumulate in float arithmetic, so the charging
         order must match the scalar path: each faulting page is billed to
-        the first member whose page-aligned span covers it (exactly which
-        member would have faulted it in the one-touch-per-object flow),
-        and :meth:`_charge_faults` runs once per member, in order.  The
-        page states are read before the touch; the touch itself is a
-        single VMM splice for the whole run.
+        the first member whose page-aligned span reaches it (exactly the
+        member whose own touch would have faulted it), and
+        :meth:`_charge_faults` runs once per faulting member, in order;
+        members that fault nothing would only add ``0.0``.  The touch
+        reports where it faulted across every mapping the range spans
+        (commits split a heap mapping), and the members are billed from
+        that.  Returns the run's total ``(minor, major)`` counts.
         """
-        start = mapping.start
-        lo = (page_floor(addr) - start) >> PAGE_SHIFT
-        hi = (page_ceil(addr + members * unit) - start) >> PAGE_SHIFT
-        # Prefix-sum the pending faults over the run's page window.
-        minor_at = [0] * (hi - lo + 1)
-        major_at = [0] * (hi - lo + 1)
-        for s, e, state in mapping.segments(lo, hi):
-            if state is PageState.NOT_PRESENT or state is PageState.FILE_CLEAN:
-                for page in range(s, e):
-                    minor_at[page - lo + 1] = 1
-            elif state is PageState.SWAPPED:
-                for page in range(s, e):
-                    major_at[page - lo + 1] = 1
-        for i in range(1, len(minor_at)):
-            minor_at[i] += minor_at[i - 1]
-            major_at[i] += major_at[i - 1]
-        self.space.touch(addr, members * unit)
-        next_page = lo
-        for j in range(members):
-            a = addr + j * unit
-            m_lo = max((page_floor(a) - start) >> PAGE_SHIFT, next_page)
-            m_hi = (page_ceil(a + unit) - start) >> PAGE_SHIFT
-            next_page = m_hi
-            self._charge_faults(
-                minor_at[m_hi - lo] - minor_at[m_lo - lo],
-                major_at[m_hi - lo] - major_at[m_lo - lo],
-            )
+        end = page_ceil(addr + members * unit)
+        if end <= touch_from:
+            return 0, 0
+        faults: List[Tuple[int, int, bool]] = []
+        counts = self.space.touch(touch_from, end - touch_from, faulted=faults)
+        n = len(faults)
+        k = 0
+        lo = touch_from >> PAGE_SHIFT
+        edge = addr
+        for _ in range(members):
+            if k == n:
+                break
+            edge += unit
+            hi = (edge + PAGE_SIZE - 1) >> PAGE_SHIFT
+            if hi <= lo:
+                continue
+            minor = major = 0
+            while k < n:
+                s, e, is_major = faults[k]
+                if s >= hi:
+                    break
+                pages = (e if e < hi else hi) - (s if s > lo else lo)
+                if is_major:
+                    major += pages
+                else:
+                    minor += pages
+                if e > hi:
+                    break
+                k += 1
+            lo = hi
+            if minor or major:
+                self._charge_faults(minor, major)
+        return counts.minor, counts.major
+
+    def _bump_run(self, space, base: int, oid: int, unit: int, members: int) -> None:
+        """Bump-place cohort ``oid`` at ``space.top`` and dirty its pages
+        exactly as one ``bump`` plus materialize per member would: the
+        touch starts at the ``touched`` high-water mark, which then moves
+        to the page above the new top.  ``space`` is a
+        :class:`~repro.runtime.hotspot.spaces.ContiguousSpace` whose
+        offset 0 sits at address ``base``."""
+        start = space.top
+        space.bump(oid, members * unit)
+        self._touch_run(base + start, unit, members, base + space.touched)
+        if space.top > space.touched:
+            space.touched = page_ceil(space.top)
 
     def free_persistent(self, oid: int) -> None:
         """Drop a persistent root (cached state handed off / invalidated)."""

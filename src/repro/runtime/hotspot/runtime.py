@@ -36,6 +36,7 @@ from repro.runtime.base import (
 )
 from repro.runtime.hotspot.policy import ResizePolicy
 from repro.runtime.hotspot.spaces import ContiguousSpace
+from repro.runtime.object_model import CohortObject
 
 
 @dataclass
@@ -153,6 +154,41 @@ class HotSpotRuntime(ManagedRuntime):
         self._where[oid] = self._eden
         self._materialize(self._eden)
 
+    def _supports_cohorts(self, unit: int) -> bool:
+        return unit <= self._eden.reserved
+
+    def _alloc_cohort_fast(self, count: int, unit: int, scope: str) -> List[int]:
+        """Bump-place a run into eden segment by segment.
+
+        A segment is every member that fits eden's committed free space
+        as it stands (``eden.free // unit``): the scalar path bumps those
+        with no collection or resize in between.  The first member that
+        does not fit goes through :meth:`~ManagedRuntime.alloc`
+        unbatched, so the scavenge it triggers sees exactly the scalar
+        path's graph.
+        """
+        oids: List[int] = []
+        placed = 0
+        while placed < count:
+            eden = self._eden
+            members = min(count - placed, eden.free // unit)
+            if members == 0:
+                oids.append(self.alloc(unit, scope=scope))
+                placed += 1
+                continue
+            oid = self.graph.new_cohort(members, unit)
+
+            def place(oid: int = oid, members: int = members) -> None:
+                self._bump_run(
+                    eden, self._heap.start + eden.offset, oid, unit, members
+                )
+                self._where[oid] = eden
+
+            self._place_cohort_segment(oid, scope, place)
+            oids.append(oid)
+            placed += members
+        return oids
+
     def _place_old_direct(self, oid: int, size: int) -> None:
         if not self._old.fits(size):
             self._ensure_old_capacity(size)
@@ -201,20 +237,32 @@ class HotSpotRuntime(ManagedRuntime):
                 return self._full_gc(aggressive=False)
             self._set_committed(self._old, max(target, self._old.committed))
 
+        total_live = sum(self.graph.objects[oid].size for oid in live)
         copied = 0
         promoted = 0
         self._to.reset()
         for oid in survivors:
             obj = self.graph.objects[oid]
             obj.age += 1
-            if obj.age >= cfg.tenure_threshold or not self._to.fits(obj.size):
-                self._old.bump(oid, obj.size)
+            size = obj.size
+            if obj.age >= cfg.tenure_threshold or not self._to.fits(size):
+                if obj.age < cfg.tenure_threshold and type(obj) is CohortObject:
+                    head = self._to.free // obj.unit
+                    if head:
+                        # Copied member by member, the run fills the
+                        # to-space and its remaining members promote.
+                        tail = self.graph.split_cohort(oid, head)
+                        self._to.bump(oid, obj.size)
+                        self._where[oid] = self._to
+                        copied += obj.size
+                        oid, size = tail, size - obj.size
+                self._old.bump(oid, size)
                 self._where[oid] = self._old
-                promoted += obj.size
+                promoted += size
             else:
-                self._to.bump(oid, obj.size)
+                self._to.bump(oid, size)
                 self._where[oid] = self._to
-                copied += obj.size
+                copied += size
         self._materialize(self._to)
         self._materialize(self._old)
 
@@ -250,9 +298,6 @@ class HotSpotRuntime(ManagedRuntime):
                 )
 
         live_young = copied + promoted
-        total_live = sum(
-            self.graph.objects[oid].size for oid in live if oid in self.graph.objects
-        )
         seconds = self._parallel_pause(
             costs.trace_cost(live_young) + costs.copy_cost(copied + promoted)
         )

@@ -68,12 +68,13 @@ class ContiguousSpace:
 
     def bump(self, oid: int, size: int) -> None:
         """Place ``oid`` at ``top`` (caller checked :meth:`fits`)."""
-        if not self.fits(size):
+        top = self.top + size
+        if top > self.committed:
             raise AssertionError(
                 f"{self.name}: bump of {size} exceeds free {self.free}"
             )
         self.objects.append(oid)
-        self.top += size
+        self.top = top
 
     def reset(self) -> None:
         """Empty the space (after evacuation); dirty pages remain touched."""

@@ -99,6 +99,34 @@ class ObjectGraph:
         self.objects[oid] = CohortObject(oid, count * unit, [], 0, count, unit)
         return oid
 
+    def split_cohort(self, oid: int, head: int) -> int:
+        """Cut cohort ``oid`` after its first ``head`` members.
+
+        ``oid`` keeps the head; the tail becomes a new cohort with the
+        same unit, age and roots, and its id is returned.  Moving
+        collectors call this where per-member evacuation would send one
+        run to two places (a full survivor space, a chunk boundary).
+        """
+        obj = self.objects[oid]
+        if type(obj) is not CohortObject or not 0 < head < obj.count:
+            raise ValueError(f"cannot split object {oid} after {head} members")
+        tail = self._next_id
+        self._next_id += 1
+        rest = obj.count - head
+        self.objects[tail] = CohortObject(
+            tail, rest * obj.unit, list(obj.refs), obj.age, rest, obj.unit
+        )
+        obj.count = head
+        obj.size = head * obj.unit
+        if oid in self.persistent_roots:
+            self.persistent_roots.add(tail)
+        if oid in self.weak_roots:
+            self.weak_roots.add(tail)
+        for frame in self._frames:
+            if oid in frame:
+                frame.add(tail)
+        return tail
+
     def add_ref(self, parent: int, child: int) -> None:
         """Add a strong edge parent -> child."""
         self._require(parent)

@@ -118,11 +118,19 @@ class ChunkedSpace:
             raise ValueError(
                 f"{size}-byte object exceeds chunk payload; use large-object space"
             )
-        for chunk in reversed(self.chunks):
-            if chunk.fits(size):
-                return chunk, chunk.bump(oid, size), False
+        chunk = self.fitting_chunk(size)
+        if chunk is not None:
+            return chunk, chunk.bump(oid, size), False
         chunk = self._new_chunk()
         return chunk, chunk.bump(oid, size), True
+
+    def fitting_chunk(self, size: int) -> Optional[Chunk]:
+        """The chunk :meth:`allocate` would bump ``size`` bytes into: the
+        newest one with room, or ``None`` when a fresh chunk is needed."""
+        for chunk in reversed(self.chunks):
+            if size <= chunk.payload - chunk.top:
+                return chunk
+        return None
 
     def _new_chunk(self) -> Chunk:
         mapping = self.space.mmap(self.chunk_size, name=f"[{self.name} chunk]")

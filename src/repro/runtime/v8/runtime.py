@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.mem.layout import KIB, MIB, PAGE_SIZE, Protection, page_ceil
+from repro.mem.layout import KIB, MIB, PAGE_SIZE, Protection, page_ceil, page_floor
 from repro.mem.vmm import Mapping
 from repro.runtime import costs
 from repro.runtime.base import (
@@ -31,6 +31,7 @@ from repro.runtime.base import (
 )
 from repro.runtime.hotspot.spaces import ContiguousSpace
 from repro.runtime.jit import CodeCache
+from repro.runtime.object_model import CohortObject
 from repro.runtime.v8.chunks import CHUNK_PAYLOAD, ChunkedSpace
 from repro.runtime.v8.policy import V8YoungPolicy
 
@@ -147,16 +148,69 @@ class V8Runtime(ManagedRuntime):
         self._materialize_semi(self._from)
         self._young_alloc_since_full_gc += size
 
+    def _supports_cohorts(self, unit: int) -> bool:
+        cfg: V8Config = self.config  # type: ignore[assignment]
+        return unit < cfg.large_object_threshold
+
+    def _alloc_cohort_fast(self, count: int, unit: int, scope: str) -> List[int]:
+        """Bump-place a run into the from-space segment by segment; the
+        HotSpot twin's eden scheme, with the member that does not fit
+        taking the scalar scavenge-and-expand path."""
+        oids: List[int] = []
+        placed = 0
+        while placed < count:
+            semi = self._from
+            members = min(count - placed, semi.free // unit)
+            if members == 0:
+                oids.append(self.alloc(unit, scope=scope))
+                placed += 1
+                continue
+            oid = self.graph.new_cohort(members, unit)
+
+            def place(oid: int = oid, members: int = members) -> None:
+                self._bump_run(semi, self._semi_base(semi), oid, unit, members)
+                self._young_alloc_since_full_gc += members * unit
+
+            self._place_cohort_segment(oid, scope, place)
+            oids.append(oid)
+            placed += members
+        return oids
+
     def _place_old(self, oid: int, size: int) -> None:
         # Promotions during a collection must not re-enter the collector.
         if not self._in_gc and self._heap_over_budget(size):
             self.collect(full=True)
             if self._heap_over_budget(size):
                 raise OutOfMemory(f"{self.name}: old space over heap budget")
-        chunk, offset, _new = self._old.allocate(oid, size)
-        counts = self.space.touch(chunk.mapping.start + PAGE_SIZE + offset, size)
-        self._evac_fault_bytes += (counts.minor + counts.major) * PAGE_SIZE
-        self._charge_faults(counts.minor, counts.major)
+        self._put_old(oid, size)
+
+    def _put_old(self, oid: int, size: int) -> None:
+        """Bump ``oid`` into the old space and fault its pages in.
+
+        A cohort lands where its members would one by one:
+        :meth:`ChunkedSpace.allocate` puts each in the newest chunk with
+        room for it, so the run fills that chunk, then any earlier chunk
+        with room, then fresh ones -- it is split at every chunk boundary.
+        """
+        obj = self.graph.objects[oid]
+        if type(obj) is not CohortObject:
+            chunk, offset, _new = self._old.allocate(oid, size)
+            counts = self.space.touch(chunk.mapping.start + PAGE_SIZE + offset, size)
+            self._evac_fault_bytes += (counts.minor + counts.major) * PAGE_SIZE
+            self._charge_faults(counts.minor, counts.major)
+            return
+        unit = obj.unit
+        while True:
+            chunk = self._old.fitting_chunk(unit)
+            room = (chunk.free if chunk is not None else self._old.payload) // unit
+            tail = self.graph.split_cohort(oid, room) if room < obj.count else None
+            chunk, offset, _new = self._old.allocate(oid, obj.size)
+            addr = chunk.mapping.start + PAGE_SIZE + offset
+            minor, major = self._touch_run(addr, unit, obj.count, page_floor(addr))
+            self._evac_fault_bytes += (minor + major) * PAGE_SIZE
+            if tail is None:
+                return
+            oid, obj = tail, self.graph.objects[tail]
 
     def _place_large(self, oid: int, size: int) -> None:
         if self._heap_over_budget(size):
@@ -198,6 +252,7 @@ class V8Runtime(ManagedRuntime):
             self._survived_since_expand = 0
 
         live = self.graph.reachable(include_weak=True)
+        total_live = sum(self.graph.objects[oid].size for oid in live)
         young = list(self._from.objects)
         self._to.reset()
         copied = 0
@@ -210,20 +265,27 @@ class V8Runtime(ManagedRuntime):
                 continue
             obj = self.graph.objects[oid]
             obj.age += 1
-            if obj.age >= cfg.tenure_threshold or not self._to.fits(obj.size):
-                self._place_old(oid, obj.size)
-                promoted += obj.size
+            size = obj.size
+            if obj.age >= cfg.tenure_threshold or not self._to.fits(size):
+                if obj.age < cfg.tenure_threshold and type(obj) is CohortObject:
+                    head = self._to.free // obj.unit
+                    if head:
+                        # Copied member by member, the run fills the
+                        # to-space and its remaining members promote.
+                        tail = self.graph.split_cohort(oid, head)
+                        self._to.bump(oid, obj.size)
+                        copied += obj.size
+                        oid, size = tail, size - obj.size
+                self._place_old(oid, size)
+                promoted += size
             else:
-                self._to.bump(oid, obj.size)
-                copied += obj.size
+                self._to.bump(oid, size)
+                copied += size
         self._materialize_semi(self._to)
         self._from.reset()
         self._from, self._to = self._to, self._from
         self._survived_since_expand += copied + promoted
 
-        total_live = sum(
-            self.graph.objects[oid].size for oid in live if oid in self.graph.objects
-        )
         seconds = self._parallel_pause(
             costs.trace_cost(copied + promoted) + costs.copy_cost(copied + promoted)
         )
@@ -249,8 +311,9 @@ class V8Runtime(ManagedRuntime):
         promoted = 0
         for oid in list(self._from.objects) + list(self._to.objects):
             if oid in self.graph.objects:
-                self._place_old(oid, self.graph.objects[oid].size)
-                promoted += self.graph.objects[oid].size
+                size = self.graph.objects[oid].size
+                self._place_old(oid, size)
+                promoted += size
         self._from.reset()
         self._to.reset()
 
@@ -369,12 +432,7 @@ class V8Runtime(ManagedRuntime):
         self._old.chunks.clear()
         moved = 0
         for oid, size in movers:
-            chunk, offset, _new = self._old.allocate(oid, size)
-            counts = self.space.touch(
-                chunk.mapping.start + PAGE_SIZE + offset, size
-            )
-            self._evac_fault_bytes += (counts.minor + counts.major) * PAGE_SIZE
-            self._charge_faults(counts.minor, counts.major)
+            self._put_old(oid, size)
             moved += size
         return costs.copy_cost(moved)
 

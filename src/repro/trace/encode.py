@@ -84,6 +84,12 @@ ID_KEYS = ("request_id", "instance_id")
 #: (live object references a handler might need) is dropped.
 SCALARS = (str, int, float, bool, type(None))
 
+#: The record fields the envelope writes before any payload key.  A
+#: payload key among them overwrites the envelope value *in place* (a
+#: ``dict`` keeps a key's first insertion position), a layout no compiled
+#: tier models; such shapes are encoded by :func:`encode_line_generic`.
+ENVELOPE_KEYS = frozenset(("seq", "t", "node", "kind"))
+
 #: The exact string-escaping function ``json.dumps`` uses with the
 #: default ``ensure_ascii=True`` (C-accelerated when available).
 _escape = json.encoder.encode_basestring_ascii
@@ -283,6 +289,25 @@ def _compile_polymorphic(kind: str, keys: Tuple[str, ...]):
     return namespace["encode"]
 
 
+def _generic_shape(kind: str):
+    """An encoder with the compiled signature that runs the generic twin.
+
+    Serves the shapes whose payload names an envelope field (see
+    :data:`ENVELOPE_KEYS`); no production emitter builds one.
+    """
+
+    def encode(seq, t, node, data, id_maps):
+        def normalize(key, value):
+            mapping = id_maps.get(key)
+            if mapping is None:
+                return value
+            return mapping.setdefault(value, len(mapping) + 1)
+
+        return encode_line_generic(seq, t, node, kind, data, normalize)
+
+    return encode
+
+
 def compile_shape(
     kind: str,
     keys: Tuple[str, ...],
@@ -317,7 +342,12 @@ def compile_shape(
     alone (no per-event shape tuple): the fallback re-dispatches by the
     full shape, so a kind re-emitted with a different key-set stays
     byte-correct, just slower.
+
+    A key-set that names an envelope field gets the generic twin in
+    every tier; it needs no key-set pin, being correct for any payload.
     """
+    if not ENVELOPE_KEYS.isdisjoint(keys):
+        return _generic_shape(kind)
     poly = _compile_polymorphic(kind, keys)
     ordered = sorted(keys)
     if sample is None or any(

@@ -16,6 +16,7 @@ import pytest
 
 from repro.check import (
     Violation,
+    check_cohort_shape,
     check_file,
     check_instance,
     check_mapping,
@@ -28,11 +29,13 @@ from repro.check import (
     check_smaps,
     check_space,
 )
+from repro import fastpath
 from repro.faas.instance import FunctionInstance, InstanceState
 from repro.mem.layout import PAGE_SIZE, PROT_RX
 from repro.mem.physical import MappedFile, PhysicalMemory
 from repro.mem.runlist import RunList
 from repro.mem.vmm import PageState, VirtualAddressSpace
+from repro.runtime.object_model import CohortObject
 from repro.workloads.model import FunctionSpec
 
 KIB = 1024
@@ -317,6 +320,35 @@ class TestCheckRuntime:
             committed=-1, used=0, live_estimate=0
         )
         assert violation_name(check_runtime, runtime) == "heap-negative"
+
+    def make_cohort(self):
+        """A booted runtime holding one persistent arena cohort."""
+        with fastpath.override(True):
+            instance = self.make()
+            runtime = instance.runtime
+            runtime.begin_invocation()
+            (oid,) = runtime.alloc_cohort(4, 16 * KIB, scope="persistent")
+            runtime.end_invocation()
+        assert isinstance(runtime.graph.objects[oid], CohortObject)
+        return runtime, oid
+
+    def test_healthy_cohort_passes(self):
+        runtime, _oid = self.make_cohort()
+        check_cohort_shape(runtime)
+
+    def test_cohort_size_not_count_times_unit(self):
+        runtime, oid = self.make_cohort()
+        runtime.graph.objects[oid].count -= 1
+        assert violation_name(check_runtime, runtime) == "cohort-shape"
+
+    def test_cohort_overrunning_its_chunk(self):
+        runtime, oid = self.make_cohort()
+        size = runtime.graph.objects[oid].size
+        for chunk in runtime._arenas.chunks:
+            for index, (held, _offset) in enumerate(chunk.objects):
+                if held == oid:
+                    chunk.objects[index] = (oid, chunk.payload - size + PAGE_SIZE)
+        assert violation_name(check_runtime, runtime) == "cohort-shape"
 
 
 # ---------------------------------------------------------------- instances

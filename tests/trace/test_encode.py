@@ -17,7 +17,7 @@ import json
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim.bus import EventBus
@@ -124,6 +124,9 @@ _times = st.floats(allow_nan=True, allow_infinity=True)
     t=_times,
     node=st.integers(min_value=0, max_value=64),
 )
+# Payload keys that name an envelope field overwrite it in place.
+@example(kind="0", payload={"t": None}, seq=0, t=0.0, node=0)
+@example(kind="0", payload={"seq": 1.5}, seq=0, t=0.0, node=0)
 def test_every_encoder_tier_matches_json_dumps(kind, payload, seq, t, node):
     if not (t != t or t in (math.inf, -math.inf)):
         t = round(t, 9)  # the sink rounds before either encoder runs

@@ -99,6 +99,9 @@ _OP_WEIGHTS: Tuple[Tuple[str, int], ...] = (
 def generate_ops(seed: int, n_ops: int) -> List[dict]:
     """The deterministic schedule for one seed: concrete JSON-able ops."""
     rng = RngStream(seed, "fuzz")
+    # Per-member cohort scopes come from a side stream: drawing them
+    # leaves every other op of a seed's schedule unchanged.
+    scope_rng = rng.split("cohort-scopes")
     names = [name for name, _ in _OP_WEIGHTS]
     weights = [weight for _, weight in _OP_WEIGHTS]
     ops: List[dict] = []
@@ -152,13 +155,19 @@ def generate_ops(seed: int, n_ops: int) -> List[dict]:
         elif name == "alloc_cohort":
             if not slots:
                 continue
-            scope = ("ephemeral", "ephemeral", "persistent", "weak")[rng.randrange(4)]
+            scopes = ("ephemeral", "ephemeral", "persistent", "weak")
+            scope = scopes[rng.randrange(4)]
             if scope == "ephemeral":
                 count, unit = rng.randint(2, 32), rng.randint(1, 16) * KIB
             else:
                 # Surviving scopes stay small: they accumulate across ops
                 # against the 32 MiB instance budget.
                 count, unit = rng.randint(2, 8), rng.randint(1, 8) * KIB
+            if scope_rng.random() < 0.5:
+                # A mixed run: one scope per member, which the bump-space
+                # runtimes fold into one ephemeral cohort plus ordered
+                # survivor groups.
+                scope = [scopes[scope_rng.randrange(4)] for _ in range(count)]
             op = {
                 "op": "alloc_cohort",
                 "slot": rng.randrange(slots),
@@ -341,13 +350,17 @@ class FuzzWorld:
         if instance is None or not instance.runtime.booted:
             return self._skip()
         runtime = instance.runtime
-        volume = op["count"] * op["unit"]
-        if op["scope"] != "ephemeral":
-            # Persistent/weak cohorts outlive the op; cap accumulation so
+        scope = op["scope"]
+        if isinstance(scope, str):
+            kept = 0 if scope == "ephemeral" else op["count"]
+        else:
+            kept = sum(s != "ephemeral" for s in scope)
+        if kept:
+            # Persistent/weak members outlive the op; cap accumulation so
             # the schedule cannot legitimately run the tiny heap out.
-            if runtime.live_bytes() + volume > runtime.config.max_heap // 4:
+            if runtime.live_bytes() + kept * op["unit"] > runtime.config.max_heap // 4:
                 return self._skip()
-        runtime.alloc_cohort(op["count"], op["unit"], scope=op["scope"])
+        runtime.alloc_cohort(op["count"], op["unit"], scope=scope)
 
     def _op_freeze(self, op: dict) -> None:
         instance = self._slot(op, InstanceState.IDLE)

@@ -19,7 +19,8 @@ from __future__ import annotations
 import abc
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import groupby
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro import fastpath
 from repro.mem.accounting import measure, measure_mapping
@@ -39,6 +40,10 @@ from repro.memo import effects as memo_effects
 from repro.memo import toggle as memo_toggle
 from repro.runtime import costs
 from repro.runtime.object_model import ObjectGraph
+
+
+#: The rooting scopes ``alloc`` accepts.
+_SCOPES = frozenset(("ephemeral", "frame", "persistent", "weak"))
 
 
 class OutOfMemory(Exception):
@@ -279,14 +284,7 @@ class ManagedRuntime(abc.ABC):
         """
         self._check_booted()
         oid = self.graph.new_object(size, refs)
-        if scope == "frame":
-            self.graph.root_in_frame(oid)
-        elif scope == "persistent":
-            self.graph.root_persistent(oid)
-        elif scope == "weak":
-            self.graph.root_weak(oid)
-        elif scope != "ephemeral":
-            raise ValueError(f"unknown scope {scope!r}")
+        self._root(oid, scope)
         if scope == "ephemeral":
             # The allocation site references the object until placement
             # finishes, so a collection triggered by this very allocation
@@ -301,33 +299,62 @@ class ManagedRuntime(abc.ABC):
         return oid
 
     def alloc_cohort(
-        self, count: int, unit: int, scope: str = "frame"
+        self, count: int, unit: int, scope: Union[str, Sequence[str]] = "frame"
     ) -> List[int]:
         """Allocate ``count`` objects of ``unit`` bytes, rooted per ``scope``.
 
-        Semantically identical to calling :meth:`alloc` ``count`` times --
+        ``scope`` is one scope for every member, or a sequence of ``count``
+        per-member scopes (``ValueError`` when ``len(scope) != count``).
+        Either way the call is semantically identical to calling
+        ``alloc(unit, scope=s)`` for each member's scope ``s``, in order --
         and that is literally what happens off the fast path or when the
         runtime cannot batch this unit size.  On the fast path the run is
         folded into :class:`~repro.runtime.object_model.CohortObject`
-        segments placed with one graph node and one bulk page touch per
-        segment, while GC trigger points, collected volumes, and the
-        per-member fault-cost accumulation order are preserved exactly:
-        both paths produce byte-identical event traces.
+        nodes placed with one bulk page touch per GC-free segment, while
+        GC trigger points, collected volumes, and the per-member
+        fault-cost accumulation order are preserved exactly: both paths
+        produce byte-identical event traces.
 
-        Returns the allocated object ids (segment ids on the fast path).
+        Returns the allocated object ids (one per folded group on the
+        fast path).
         """
         self._check_booted()
+        if isinstance(scope, str):
+            runs: Sequence[Tuple[str, int]] = ((scope, count),)
+        else:
+            if len(scope) != count:
+                raise ValueError(
+                    f"{len(scope)} scopes given for a run of {count} members"
+                )
+            runs = [(s, sum(1 for _ in group)) for s, group in groupby(scope)]
         if count <= 0:
             return []
         if count == 1 or not (self._fastpath and self._supports_cohorts(unit)):
-            return [self.alloc(unit, scope=scope) for _ in range(count)]
-        return self._alloc_cohort_fast(count, unit, scope)
+            return [
+                self.alloc(unit, scope=s) for s, members in runs for _ in range(members)
+            ]
+        return self._alloc_cohort_fast(unit, runs)
 
     def _supports_cohorts(self, unit: int) -> bool:
         """Whether this runtime can bulk-place ``unit``-byte cohorts."""
         return False
 
-    def _alloc_cohort_fast(self, count: int, unit: int, scope: str) -> List[int]:
+    def _alloc_cohort_fast(
+        self, unit: int, runs: Sequence[Tuple[str, int]]
+    ) -> List[int]:
+        """Place ``runs``, the call's ``(scope, members)`` stretches in
+        order.  Runtimes whose member addresses are observable (arena
+        holes) place one stretch of identical scopes at a time; the bump
+        spaces override this with :meth:`_fold_bump_cohort`."""
+        oids: List[int] = []
+        for scope, members in runs:
+            if members == 1:
+                oids.append(self.alloc(unit, scope=scope))
+            else:
+                oids.extend(self._alloc_run_fast(members, unit, scope))
+        return oids
+
+    def _alloc_run_fast(self, count: int, unit: int, scope: str) -> List[int]:
         raise NotImplementedError  # pragma: no cover - guarded by the gate
 
     def _place_cohort_segment(self, oid: int, scope: str, place) -> None:
@@ -337,14 +364,7 @@ class ManagedRuntime(abc.ABC):
         rooting for ephemerals (the site references the run until its
         placement finishes).
         """
-        if scope == "frame":
-            self.graph.root_in_frame(oid)
-        elif scope == "persistent":
-            self.graph.root_persistent(oid)
-        elif scope == "weak":
-            self.graph.root_weak(oid)
-        elif scope != "ephemeral":
-            raise ValueError(f"unknown scope {scope!r}")
+        self._root(oid, scope)
         if scope == "ephemeral":
             self.graph.root_persistent(oid)
             try:
@@ -353,6 +373,16 @@ class ManagedRuntime(abc.ABC):
                 self.graph.unroot_persistent(oid)
         else:
             place()
+
+    def _root(self, oid: int, scope: str) -> None:
+        if scope == "frame":
+            self.graph.root_in_frame(oid)
+        elif scope == "persistent":
+            self.graph.root_persistent(oid)
+        elif scope == "weak":
+            self.graph.root_weak(oid)
+        elif scope != "ephemeral":
+            raise ValueError(f"unknown scope {scope!r}")
 
     def _touch_run(
         self, addr: int, unit: int, members: int, touch_from: int
@@ -369,12 +399,13 @@ class ManagedRuntime(abc.ABC):
         Fault *costs* accumulate in float arithmetic, so the charging
         order must match the scalar path: each faulting page is billed to
         the first member whose page-aligned span reaches it (exactly the
-        member whose own touch would have faulted it), and
-        :meth:`_charge_faults` runs once per faulting member, in order;
-        members that fault nothing would only add ``0.0``.  The touch
-        reports where it faulted across every mapping the range spans
-        (commits split a heap mapping), and the members are billed from
-        that.  Returns the run's total ``(minor, major)`` counts.
+        member whose own touch would have faulted it), and each faulting
+        member adds its own ``fault_cost`` to ``invocation_fault_seconds``
+        in order, as :meth:`_charge_faults` would; members that fault
+        nothing would only add ``0.0``.  The touch reports where it
+        faulted across every mapping the range spans (commits split a
+        heap mapping), and the members are billed from that.  Returns the
+        run's total ``(minor, major)`` counts.
         """
         end = page_ceil(addr + members * unit)
         if end <= touch_from:
@@ -382,6 +413,11 @@ class ManagedRuntime(abc.ABC):
         faults: List[Tuple[int, int, bool]] = []
         counts = self.space.touch(touch_from, end - touch_from, faulted=faults)
         n = len(faults)
+        if not n:
+            return counts.minor, counts.major
+        minor_s = costs.MINOR_FAULT_SECONDS
+        major_s = costs.MAJOR_FAULT_SECONDS
+        billed = self.invocation_fault_seconds
         k = 0
         lo = touch_from >> PAGE_SHIFT
         edge = addr
@@ -407,21 +443,90 @@ class ManagedRuntime(abc.ABC):
                 k += 1
             lo = hi
             if minor or major:
-                self._charge_faults(minor, major)
+                # Inlined _charge_faults: the same fault_cost expression,
+                # added in the same order.
+                billed += minor * minor_s + major * major_s
+        self.invocation_fault_seconds = billed
         return counts.minor, counts.major
 
-    def _bump_run(self, space, base: int, oid: int, unit: int, members: int) -> None:
-        """Bump-place cohort ``oid`` at ``space.top`` and dirty its pages
-        exactly as one ``bump`` plus materialize per member would: the
-        touch starts at the ``touched`` high-water mark, which then moves
-        to the page above the new top.  ``space`` is a
-        :class:`~repro.runtime.hotspot.spaces.ContiguousSpace` whose
-        offset 0 sits at address ``base``."""
+    def _fold_bump_cohort(
+        self, unit: int, runs: Sequence[Tuple[str, int]]
+    ) -> List[int]:
+        """Bump-place a run segment by segment, folding its scopes.
+
+        A segment is every member that fits the bump space's committed
+        free space as it stands (``space.free // unit``): the scalar path
+        bumps those with no collection or resize in between, so the
+        segment becomes one bump and one :meth:`_touch_run`.  The first
+        member that does not fit goes through :meth:`alloc` unbatched, so
+        the collection it triggers sees exactly the scalar path's graph.
+
+        Within a segment the ephemeral members fold into one cohort and
+        the surviving ones into maximal same-scope groups, in allocation
+        order.  This is exact because a bump space never exposes a
+        member's address, only the bytes bumped, the pages touched and the
+        order of the survivors (which decides where a scavenge's to-space
+        overflow splits them and what promotes): all three are kept.
+        Ephemerals are dead at the next collection wherever they sit.
+
+        Subclasses supply :meth:`_bump_space` and :meth:`_bump_placed`.
+        """
+        for scope, _members in runs:
+            if scope not in _SCOPES:
+                raise ValueError(f"unknown scope {scope!r}")
+        oids: List[int] = []
+        # The open segment: [scope, members] groups, the ephemeral one first.
+        segment: List[List] = [["ephemeral", 0]]
+        room = 0  # members the open segment can still take
+        for scope, left in runs:
+            while left:
+                if not room:
+                    self._bump_segment(unit, segment, oids)
+                    segment = [["ephemeral", 0]]
+                    room = self._bump_space()[0].free // unit
+                    if not room:
+                        oids.append(self.alloc(unit, scope=scope))
+                        left -= 1
+                        continue
+                take = left if left < room else room
+                if scope == "ephemeral":
+                    segment[0][1] += take
+                elif segment[-1][0] == scope:
+                    segment[-1][1] += take
+                else:
+                    segment.append([scope, take])
+                left -= take
+                room -= take
+        self._bump_segment(unit, segment, oids)
+        return oids
+
+    def _bump_segment(self, unit: int, segment: List[List], oids: List[int]) -> None:
+        """Bump one folded segment's groups in order, dirtied by one
+        :meth:`_touch_run` from the space's ``touched`` high-water mark,
+        which then moves to the page above the new top."""
+        members = sum(count for _scope, count in segment)
+        if not members:
+            return
+        space, base = self._bump_space()
         start = space.top
-        space.bump(oid, members * unit)
+        for scope, count in segment:
+            if count:
+                oid = self.graph.new_cohort(count, unit)
+                self._root(oid, scope)
+                space.bump(oid, count * unit)
+                self._bump_placed(oid, count * unit)
+                oids.append(oid)
         self._touch_run(base + start, unit, members, base + space.touched)
         if space.top > space.touched:
             space.touched = page_ceil(space.top)
+
+    def _bump_space(self):
+        """The bump space a cohort segment goes to, and its base address:
+        ``(ContiguousSpace, int)``."""
+        raise NotImplementedError  # pragma: no cover - bump runtimes only
+
+    def _bump_placed(self, oid: int, size: int) -> None:
+        """Bookkeeping after bumping one ``size``-byte folded group."""
 
     def free_persistent(self, oid: int) -> None:
         """Drop a persistent root (cached state handed off / invalidated)."""

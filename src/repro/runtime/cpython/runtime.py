@@ -100,7 +100,7 @@ class CPythonRuntime(ManagedRuntime):
         cfg: CPythonConfig = self.config  # type: ignore[assignment]
         return unit < cfg.large_object_threshold
 
-    def _alloc_cohort_fast(self, count: int, unit: int, scope: str) -> List[int]:
+    def _alloc_run_fast(self, count: int, unit: int, scope: str) -> List[int]:
         """Place a run of small objects segment by segment.
 
         Each segment is the longest prefix that the scalar path would

@@ -109,7 +109,7 @@ class GoRuntime(ManagedRuntime):
         cfg: GoConfig = self.config  # type: ignore[assignment]
         return unit < cfg.large_object_threshold
 
-    def _alloc_cohort_fast(self, count: int, unit: int, scope: str) -> List[int]:
+    def _alloc_run_fast(self, count: int, unit: int, scope: str) -> List[int]:
         """Segment-wise bulk placement; see the CPython twin for the
         scheme.  The difference is the trigger: Go's pacer compares
         ``heap_used + size`` against the GOGC target before every

@@ -157,37 +157,14 @@ class HotSpotRuntime(ManagedRuntime):
     def _supports_cohorts(self, unit: int) -> bool:
         return unit <= self._eden.reserved
 
-    def _alloc_cohort_fast(self, count: int, unit: int, scope: str) -> List[int]:
-        """Bump-place a run into eden segment by segment.
+    def _alloc_cohort_fast(self, unit: int, runs) -> List[int]:
+        return self._fold_bump_cohort(unit, runs)
 
-        A segment is every member that fits eden's committed free space
-        as it stands (``eden.free // unit``): the scalar path bumps those
-        with no collection or resize in between.  The first member that
-        does not fit goes through :meth:`~ManagedRuntime.alloc`
-        unbatched, so the scavenge it triggers sees exactly the scalar
-        path's graph.
-        """
-        oids: List[int] = []
-        placed = 0
-        while placed < count:
-            eden = self._eden
-            members = min(count - placed, eden.free // unit)
-            if members == 0:
-                oids.append(self.alloc(unit, scope=scope))
-                placed += 1
-                continue
-            oid = self.graph.new_cohort(members, unit)
+    def _bump_space(self):
+        return self._eden, self._heap.start + self._eden.offset
 
-            def place(oid: int = oid, members: int = members) -> None:
-                self._bump_run(
-                    eden, self._heap.start + eden.offset, oid, unit, members
-                )
-                self._where[oid] = eden
-
-            self._place_cohort_segment(oid, scope, place)
-            oids.append(oid)
-            placed += members
-        return oids
+    def _bump_placed(self, oid: int, size: int) -> None:
+        self._where[oid] = self._eden
 
     def _place_old_direct(self, oid: int, size: int) -> None:
         if not self._old.fits(size):

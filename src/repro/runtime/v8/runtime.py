@@ -152,29 +152,14 @@ class V8Runtime(ManagedRuntime):
         cfg: V8Config = self.config  # type: ignore[assignment]
         return unit < cfg.large_object_threshold
 
-    def _alloc_cohort_fast(self, count: int, unit: int, scope: str) -> List[int]:
-        """Bump-place a run into the from-space segment by segment; the
-        HotSpot twin's eden scheme, with the member that does not fit
-        taking the scalar scavenge-and-expand path."""
-        oids: List[int] = []
-        placed = 0
-        while placed < count:
-            semi = self._from
-            members = min(count - placed, semi.free // unit)
-            if members == 0:
-                oids.append(self.alloc(unit, scope=scope))
-                placed += 1
-                continue
-            oid = self.graph.new_cohort(members, unit)
+    def _alloc_cohort_fast(self, unit: int, runs) -> List[int]:
+        return self._fold_bump_cohort(unit, runs)
 
-            def place(oid: int = oid, members: int = members) -> None:
-                self._bump_run(semi, self._semi_base(semi), oid, unit, members)
-                self._young_alloc_since_full_gc += members * unit
+    def _bump_space(self):
+        return self._from, self._semi_base(self._from)
 
-            self._place_cohort_segment(oid, scope, place)
-            oids.append(oid)
-            placed += members
-        return oids
+    def _bump_placed(self, oid: int, size: int) -> None:
+        self._young_alloc_since_full_gc += size
 
     def _place_old(self, oid: int, size: int) -> None:
         # Promotions during a collection must not re-enter the collector.

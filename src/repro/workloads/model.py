@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.mem.layout import KIB, MIB
 from repro.memo import toggle as memo_toggle
@@ -138,34 +138,34 @@ class FunctionModel:
         # Interleave short-lived garbage with invocation-scoped data, the
         # way real request handling mixes temporaries and working set.
         # The per-object draws stay untouched (the jitter stream is part of
-        # the workload's identity); consecutive same-shaped draws are merely
-        # batched into one alloc_cohort call, which the runtime either
-        # unrolls (scalar path) or places as a cohort (fast path).
+        # the workload's identity); each stretch of same-sized draws goes
+        # out as one alloc_cohort call with per-member scopes, which the
+        # runtime either unrolls (scalar path) or places as folded
+        # cohorts (fast path).
         eph = self._jittered(spec.ephemeral_bytes)
         frame = self._jittered(spec.frame_bytes)
         total = eph + frame
-        run_scope = ""
+        scopes: List[str] = []
         run_size = 0
-        run_count = 0
         while total > 0:
             scope = "ephemeral" if self._rng.random() < eph / max(1, eph + frame) else "frame"
             size = min(spec.object_size, eph if scope == "ephemeral" else frame)
             if size <= 0:
                 scope = "ephemeral" if eph > 0 else "frame"
                 size = min(spec.object_size, max(eph, frame))
-            if scope == run_scope and size == run_size:
-                run_count += 1
-            else:
-                if run_count:
-                    runtime.alloc_cohort(run_count, run_size, scope=run_scope)
-                run_scope, run_size, run_count = scope, size, 1
+            if size != run_size:
+                if scopes:
+                    runtime.alloc_cohort(len(scopes), run_size, scope=scopes)
+                scopes = []
+                run_size = size
+            scopes.append(scope)
             if scope == "ephemeral":
                 eph -= size
             else:
                 frame -= size
             total = eph + frame
-        if run_count:
-            runtime.alloc_cohort(run_count, run_size, scope=run_scope)
+        if scopes:
+            runtime.alloc_cohort(len(scopes), run_size, scope=scopes)
         handoff = None
         if spec.handoff_bytes:
             # Intermediate data stays persistently rooted until the consumer

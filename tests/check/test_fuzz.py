@@ -79,9 +79,24 @@ class TestRunOps:
             failure, _ = run_ops(ops, check_every=50)
             assert failure is None, failure
         assert found, "no alloc_cohort ops in 8 seeds"
+        scopes = {"ephemeral", "persistent", "weak"}
+        mixed = []
         for op in found:
             assert op["count"] >= 2 and op["unit"] > 0
-            assert op["scope"] in ("ephemeral", "persistent", "weak")
+            if isinstance(op["scope"], str):
+                assert op["scope"] in scopes
+            else:
+                assert len(op["scope"]) == op["count"]
+                assert set(op["scope"]) <= scopes
+                mixed.append(op["scope"])
+        # Per-member scope sequences appear, some with more than one scope
+        # and some interleaving the two surviving scopes.
+        assert any(len(set(scope)) > 1 for scope in mixed)
+        assert any(
+            {a, b} == {"persistent", "weak"}
+            for scope in mixed
+            for a, b in zip(scope, scope[1:])
+        )
 
 
 class TestShrink:

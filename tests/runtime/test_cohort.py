@@ -1,9 +1,10 @@
 """Cohort allocation: the batched fast path vs the scalar reference.
 
-``alloc_cohort(count, unit)`` must be *semantically identical* to
-``count`` scalar ``alloc(unit)`` calls -- same GC events (trigger points,
-collected counts and bytes, pause seconds), same fault attribution, same
-heap layout, same USS.  The differentials here replay mixed workloads
+``alloc_cohort(count, unit, scope)`` must be *semantically identical* to
+``count`` scalar ``alloc(unit, scope=s)`` calls, one per member's scope
+(``scope`` is one scope or a per-member sequence) -- same GC events
+(trigger points, collected counts and bytes, pause seconds), same fault
+attribution, same heap layout, same USS.  The differentials here replay mixed workloads
 through both paths, on every runtime that batches, and compare every
 observable checkpoint; the moving collectors (HotSpot, V8) must also
 split runs exactly where per-member evacuation would part them.
@@ -15,7 +16,7 @@ import sys
 from collections import Counter
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import fastpath
@@ -206,6 +207,24 @@ _UNITS = st.tuples(
     st.integers(min_value=-1, max_value=1),
 )
 
+#: Per-member scope sequences for one mixed run: free draws over every
+#: scope, or a short pattern repeated (two or more surviving scopes
+#: interleaved, the shape that folds into many same-scope groups).
+_MIXED_SCOPES = st.one_of(
+    st.lists(st.sampled_from(_SCOPES), min_size=1, max_size=48),
+    st.builds(
+        lambda pattern, reps: pattern * reps,
+        st.lists(st.sampled_from(_SCOPES), min_size=2, max_size=5),
+        st.integers(min_value=1, max_value=16),
+    ),
+    st.builds(
+        lambda pair, gap, reps: (list(pair) + ["ephemeral"] * gap) * reps,
+        st.permutations(("frame", "persistent", "weak")).map(lambda p: p[:2]),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=1, max_value=24),
+    ),
+)
+
 _OPS = st.one_of(
     st.tuples(
         st.just("alloc"),
@@ -213,8 +232,10 @@ _OPS = st.one_of(
         _UNITS,
         st.sampled_from(_SCOPES),
     ),
+    st.tuples(st.just("mixed"), _UNITS, _MIXED_SCOPES),
     st.tuples(st.just("reclaim"), st.booleans()),
     st.tuples(st.just("full_gc"), st.booleans()),
+    st.tuples(st.just("young")),
     st.tuples(st.just("swap")),
     st.tuples(st.just("next")),
 )
@@ -238,19 +259,27 @@ def _run_ops(runtime, ops):
     runtime.begin_invocation()
     try:
         for index, op in enumerate(ops):
-            if op[0] == "alloc":
-                _name, count, unit_spec, scope = op
+            if op[0] in ("alloc", "mixed"):
+                if op[0] == "alloc":
+                    _name, count, unit_spec, scope = op
+                    scopes = [scope] * count
+                else:
+                    _name, unit_spec, scope = op
+                    scopes = list(scope)
+                    count = len(scopes)
                 unit = _unit(runtime, *unit_spec)
-                if scope in ("persistent", "weak"):
-                    # Surviving runs accumulate; keep the heap from
-                    # legitimately running out.
-                    if runtime.live_bytes() + count * unit > runtime.config.max_heap // 4:
-                        continue
+                # Surviving members accumulate; keep the heap from
+                # legitimately running out.
+                kept = sum(s in ("persistent", "weak") for s in scopes)
+                if kept and runtime.live_bytes() + kept * unit > runtime.config.max_heap // 4:
+                    continue
                 runtime.alloc_cohort(count, unit, scope=scope)
             elif op[0] == "reclaim":
                 runtime.reclaim(aggressive=op[1])
             elif op[0] == "full_gc":
                 runtime.full_gc(aggressive=op[1])
+            elif op[0] == "young":
+                runtime.collect(full=False)
             elif op[0] == "swap":
                 _swap_heap(runtime)
             else:
@@ -273,7 +302,20 @@ def _run_ops(runtime, ops):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(ops=st.lists(_OPS, min_size=1, max_size=20))
+# Frame and persistent members interleaved past the to-space: which of
+# them the overflow promotes shows once the frame dies and the next
+# scavenge copies only what is left.
+@example(
+    ops=[
+        ("mixed", ("to", 16, 0), ["frame", "persistent"] * 24),
+        ("young",),
+        ("next",),
+        ("young",),
+    ]
+)
 def test_property_cohort_equals_scalar(name, ops):
+    """Single-scope and mixed-scope runs (``alloc_cohort`` with one
+    scope per member) against per-member scalar ``alloc``."""
     # A small heap: collections come every few ops.
     with fastpath.override(False):
         scalar = _run_ops(make(name, memory_budget=32 * MIB), ops)
@@ -370,13 +412,27 @@ def _v8_compaction():
     return runtime
 
 
-#: One scenario per entry of ``SPLIT_SITES``.
+def _hotspot_mixed_overflow():
+    runtime = make("hotspot", memory_budget=32 * MIB)
+    runtime.boot()
+    runtime.begin_invocation()
+    # Frame and persistent groups of three, an ephemeral after each: 30
+    # surviving members of 16 KiB against a ~276 KiB survivor space, so
+    # the to-space split falls inside the sixth survivor group.
+    scopes = (["frame"] * 3 + ["ephemeral"] + ["persistent"] * 3 + ["ephemeral"]) * 5
+    runtime.alloc_cohort(len(scopes), 16 * KIB, scope=scopes)
+    runtime.collect(full=False)
+    return runtime
+
+
+#: At least one scenario per entry of ``SPLIT_SITES``.
 SCENARIOS = (
     _hotspot_survivor_overflow,
     _v8_survivor_overflow,
     _v8_promotion,
     _v8_evacuation,
     _v8_compaction,
+    _hotspot_mixed_overflow,
 )
 
 
@@ -396,6 +452,60 @@ def test_every_split_site_fires(split_sites):
         for scenario in SCENARIOS:
             scenario()
     assert split_sites == SPLIT_SITES
+
+
+def test_survivor_overflow_splits_inside_a_mixed_run(split_sites):
+    """The to-space split of a mixed run lands inside its survivor-group
+    sequence: frame and persistent members on both sides of the cut."""
+    with fastpath.override(True):
+        runtime = _hotspot_mixed_overflow()
+    assert split_sites == {("_young_gc", "_young_gc")}
+    graph = runtime.graph
+
+    def scopes(space):
+        return {
+            "persistent" if oid in graph.persistent_roots else "frame"
+            for oid in space.objects
+        }
+
+    assert scopes(runtime._from) == scopes(runtime._old) == {"frame", "persistent"}
+
+
+@pytest.mark.parametrize("name", ("hotspot", "v8"))
+class TestMixedScopeFold:
+    def test_segment_folds_ephemerals_and_keeps_survivor_order(self, name):
+        with fastpath.override(True):
+            runtime = make(name)
+            runtime.boot()
+            runtime.begin_invocation()
+            pattern = ["ephemeral", "frame", "persistent", "frame"]
+            oids = runtime.alloc_cohort(12, 8 * KIB, scope=pattern * 3)
+            objects = runtime.graph.objects
+            # One ephemeral cohort, then the survivors' maximal same-scope
+            # groups in allocation order: F P FF P FF P F.
+            assert [objects[oid].member_count for oid in oids] == [3, 1, 1, 2, 1, 2, 1, 1]
+            persistent = runtime.graph.persistent_roots
+            assert [oid in persistent for oid in oids[1:]] == [
+                False, True, False, True, False, True, False,
+            ]
+            assert oids[0] not in persistent
+            assert sum(objects[oid].size for oid in oids) == 12 * 8 * KIB
+            runtime.end_invocation()
+
+    def test_scope_count_mismatch_raises(self, name):
+        runtime = make(name)
+        runtime.boot()
+        runtime.begin_invocation()
+        with pytest.raises(ValueError):
+            runtime.alloc_cohort(3, 8 * KIB, scope=["frame", "ephemeral"])
+
+    def test_unknown_scope_raises(self, name):
+        with fastpath.override(True):
+            runtime = make(name)
+            runtime.boot()
+            runtime.begin_invocation()
+            with pytest.raises(ValueError):
+                runtime.alloc_cohort(2, 8 * KIB, scope=["frame", "stack"])
 
 
 class TestScalarFallbacks:

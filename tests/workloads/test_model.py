@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro import fastpath
 from repro.mem.layout import KIB, MIB
 from repro.runtime.hotspot import HotSpotRuntime
 from repro.runtime.v8 import V8Runtime
 from repro.workloads.model import FunctionDefinition, FunctionModel, FunctionSpec
+from repro.workloads.registry import definitions_by_language
 
 
 def make_spec(**overrides) -> FunctionSpec:
@@ -118,3 +120,40 @@ class TestInvocation:
             result = model.invoke(rt)
         assert result.gc_seconds >= 0
         assert result.fault_seconds >= 0
+
+
+@pytest.mark.parametrize(
+    "language, runtime_class", (("java", HotSpotRuntime), ("javascript", V8Runtime))
+)
+def test_steady_invocation_body_is_folded(language, runtime_class):
+    """A warm invocation of every Table 1 stage sends its body as a handful
+    of mixed-scope ``alloc_cohort`` calls -- one per same-size stretch of
+    the interleaved ephemeral and frame draws, so at most four (a full-size
+    stretch and a tail per volume) -- and the bump space folds each
+    GC-free segment into at most an ephemeral cohort plus a frame group.
+    A body unfolded into one call per scope change fails here."""
+    with fastpath.override(True):
+        for definition in definitions_by_language(language):
+            for stage in definition.stages:
+                runtime = runtime_class(stage.name)
+                runtime.boot()
+                model = FunctionModel(stage, seed=1)
+                for _ in range(3):
+                    model.invoke(runtime)
+                calls = []
+                alloc_cohort = runtime.alloc_cohort
+
+                def counting(count, unit, scope="frame"):
+                    oids = alloc_cohort(count, unit, scope=scope)
+                    calls.append((count, len(oids)))
+                    return oids
+
+                runtime.alloc_cohort = counting
+                collections = len(runtime.gc_events)
+                model.invoke(runtime)
+                collections = len(runtime.gc_events) - collections
+                assert 1 <= len(calls) <= 4, (stage.name, calls)
+                # Per segment: an ephemeral cohort, a frame group, and the
+                # scalar member that triggers the next collection.
+                nodes = sum(n for _count, n in calls)
+                assert nodes <= 3 * (len(calls) + collections), (stage.name, calls)
